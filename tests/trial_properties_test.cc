@@ -2,7 +2,10 @@
 // strategies: the invariants behind every table and figure.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/experiments/trial.h"
+#include "src/migration/strategy.h"
 
 namespace accent {
 namespace {
@@ -12,6 +15,14 @@ struct TrialCase {
   TransferStrategy strategy;
   std::uint32_t prefetch;
 };
+
+// gtest lists each case with a printed parameter, and gtest_discover_tests
+// folds that text into the ctest name. The default printer dumps the raw
+// bytes, workload pointer included, so the name would change with every
+// load address; print the fields instead.
+void PrintTo(const TrialCase& c, std::ostream* os) {
+  *os << '{' << c.workload << ", " << StrategyName(c.strategy) << ", " << c.prefetch << '}';
+}
 
 std::string CaseName(const ::testing::TestParamInfo<TrialCase>& info) {
   std::string name = info.param.workload;
