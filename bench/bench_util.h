@@ -1,4 +1,4 @@
-// Shared helpers for the table/figure regeneration binaries.
+// Shared helpers for the bench binaries.
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "src/experiments/sweep_cache.h"
+#include "src/base/check.h"
 #include "src/experiments/trial.h"
 #include "src/metrics/table.h"
 
@@ -23,29 +23,21 @@ inline const std::vector<std::string>& RepresentativeNames() {
   return names;
 }
 
-// The full paper grid (7 workloads x {copy, IOU x PF, RS x PF}), served
-// from the cross-binary disk cache: the first binary (or bench/run_all)
-// simulates the grid in parallel and persists it; every later binary
-// deserialises instead of re-simulating. See src/experiments/sweep_cache.h.
-class SweepCache {
- public:
-  static const std::vector<TrialResult>& For(const std::string& workload) {
-    return DiskSweepCache::Global().For(workload);
-  }
-
-  static const TrialResult& Find(const std::string& workload, TransferStrategy strategy,
-                                 std::uint32_t prefetch) {
-    for (const TrialResult& result : For(workload)) {
-      if (result.config.strategy == strategy &&
-          (strategy == TransferStrategy::kPureCopy || result.config.prefetch == prefetch)) {
-        return result;
-      }
+// One cell of the paper grid (bench/run_all's in-memory run of the 77
+// trials): pure-copy ignores prefetch, so any `prefetch` matches it.
+inline const TrialResult& FindTrial(const std::vector<TrialResult>& grid,
+                                    const std::string& workload, TransferStrategy strategy,
+                                    std::uint32_t prefetch) {
+  for (const TrialResult& result : grid) {
+    if (result.config.workload == workload && result.config.strategy == strategy &&
+        (strategy == TransferStrategy::kPureCopy || result.config.prefetch == prefetch)) {
+      return result;
     }
-    ACCENT_CHECK(false) << " missing trial " << workload;
-    static TrialResult unreachable;
-    return unreachable;
   }
-};
+  ACCENT_CHECK(false) << " missing trial " << workload;
+  static TrialResult unreachable;
+  return unreachable;
+}
 
 inline void PrintHeading(const std::string& title, const std::string& note) {
   std::printf("\n=== %s ===\n", title.c_str());

@@ -1,14 +1,13 @@
-// Warms the cross-binary sweep cache once, in parallel, so the ~20
-// table/figure/ablation binaries deserialise the paper grid from disk
-// instead of each re-simulating it — then folds the grid into
-// BENCH_sweep.json: per-trial summary rows plus the aggregated metrics
+// Runs the paper's 77-trial grid once, in memory and in parallel, prints
+// every paper table and figure from it (Tables 4-1..4-5, Figures 4-1..4-5,
+// the section 4.5 summary; see bench/paper_tables.h), then folds the grid
+// into BENCH_sweep.json: per-trial summary rows plus the aggregated metrics
 // registry (validated by tools/check_bench.sh --sweep, consumed by
 // tools/render_results).
 //
-// Usage: run_all [--force] [--threads N] [--seed N] [--out FILE]
-//   --force     recompute and rewrite cache files even when present
+// Usage: run_all [--threads N] [--seed N] [--out FILE]
 //   --threads   worker threads (default: ACCENT_SWEEP_THREADS or hardware)
-//   --seed      trial seed (default 42, the grid every binary uses)
+//   --seed      trial seed (default 42, the paper grid)
 //   --out       sweep summary JSON path (default BENCH_sweep.json)
 #include <chrono>
 #include <cstdio>
@@ -18,30 +17,27 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "bench/paper_tables.h"
 #include "src/experiments/metrics_fold.h"
 #include "src/experiments/sweep.h"
-#include "src/experiments/sweep_cache.h"
 #include "src/metrics/registry.h"
 
 namespace accent {
 namespace {
 
 int Main(int argc, char** argv) {
-  bool force = false;
   int threads = 0;
   std::uint64_t seed = 42;
   std::string out = "BENCH_sweep.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--force") == 0) {
-      force = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--force] [--threads N] [--seed N] [--out FILE]\n",
+      std::fprintf(stderr, "usage: %s [--threads N] [--seed N] [--out FILE]\n",
                    argv[0]);
       return 2;
     }
@@ -50,37 +46,29 @@ int Main(int argc, char** argv) {
     threads = SweepThreadCount();
   }
 
-  DiskSweepCache& cache = DiskSweepCache::Global();
-  std::printf("Warming sweep cache in %s (threads=%d, seed=%llu)\n", cache.dir().c_str(),
-              threads, static_cast<unsigned long long>(seed));
-
   const auto start = std::chrono::steady_clock::now();
-  std::size_t trials = 0;
+  const std::vector<TrialResult> grid = RunTrials(PaperGridConfigs(seed), threads);
+  const auto stop = std::chrono::steady_clock::now();
+
+  PrintPaperTables(grid);
+
   MetricsRegistry metrics;
   Json trial_rows{Json::Array{}};
+  for (const TrialResult& result : grid) {
+    FoldTrialMetrics(result, &metrics);
+    trial_rows.Append(TrialSummaryToJson(result));
+  }
   Json workloads{Json::Array{}};
   for (const std::string& name : RepresentativeNames()) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<TrialResult>& results =
-        force ? cache.Refresh(name, seed, threads) : cache.For(name, seed, threads);
-    const auto t1 = std::chrono::steady_clock::now();
-    trials += results.size();
     workloads.Append(Json(name));
-    for (const TrialResult& result : results) {
-      FoldTrialMetrics(result, &metrics);
-      trial_rows.Append(TrialSummaryToJson(result));
-    }
-    std::printf("  %-10s %3zu trials  %8.1f ms\n", name.c_str(), results.size(),
-                std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
-  const auto stop = std::chrono::steady_clock::now();
 
   // Calibrated resident-set column for Table 4-5: the paper's measured RS
   // times include walking the whole validated map (Lisp validates its 4 GB
   // heap at birth), which the plain page walk misses. Re-run the prefetch-0
   // resident-set trials fresh with the rs_zero_scan_per_mb cost switched on
-  // (~3 ms/MB of zero-fill lands Lisp at the paper's 25.8 s). These bypass
-  // the disk cache on purpose: the headline grid and its digests must stay
+  // (~3 ms/MB of zero-fill lands Lisp at the paper's 25.8 s). They stay out
+  // of the grid on purpose: the headline grid and its digests must stay
   // byte-identical.
   const SimDuration rs_zero_scan = Ms(3);
   std::vector<TrialConfig> rs_configs;
@@ -104,8 +92,6 @@ int Main(int argc, char** argv) {
         Json(static_cast<std::int64_t>(result.migration.rs_packaging_extra.count()));
     rs_rows.Append(std::move(row));
   }
-  std::printf("  rs-calibrated column: %zu fresh resident-set trials (%lld us/MB zero scan)\n",
-              rs_results.size(), static_cast<long long>(rs_zero_scan.count()));
 
   Json root{Json::Object{}};
   root["bench"] = Json("sweep");
@@ -113,7 +99,7 @@ int Main(int argc, char** argv) {
   root["rs_zero_scan_per_mb_us"] = Json(static_cast<std::int64_t>(rs_zero_scan.count()));
   root["rs_calibrated"] = std::move(rs_rows);
   root["seed"] = Json(seed);
-  root["trial_count"] = Json(static_cast<std::uint64_t>(trials));
+  root["trial_count"] = Json(static_cast<std::uint64_t>(grid.size()));
   root["workloads"] = std::move(workloads);
   root["metrics"] = metrics.ToJson();
   root["trials"] = std::move(trial_rows);
@@ -126,11 +112,12 @@ int Main(int argc, char** argv) {
     file << root.Dump(1) << "\n";
   }
 
-  std::printf("%zu trials ready in %.2f s (%d recomputed, %d loaded from disk)\n", trials,
-              std::chrono::duration<double>(stop - start).count(), cache.computes(),
-              cache.disk_hits());
+  std::printf("\n%zu grid trials simulated in %.2f s (threads=%d, seed=%llu); %zu "
+              "rs-calibrated trials (%lld us/MB zero scan).\n",
+              grid.size(), std::chrono::duration<double>(stop - start).count(), threads,
+              static_cast<unsigned long long>(seed), rs_results.size(),
+              static_cast<long long>(rs_zero_scan.count()));
   std::printf("Sweep summary + metrics registry written to %s.\n", out.c_str());
-  std::printf("Bench binaries will now load the grid from %s.\n", cache.dir().c_str());
   return 0;
 }
 

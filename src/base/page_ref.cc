@@ -13,7 +13,6 @@ std::atomic<std::uint64_t> g_payload_frees{0};
 std::atomic<std::uint64_t> g_page_bytes_copied{0};
 std::atomic<std::uint64_t> g_payload_shares{0};
 std::atomic<std::uint64_t> g_cow_breaks{0};
-std::atomic<bool> g_legacy_deep_copy{false};
 
 const PageData& EmptyPage() {
   static const PageData empty;
@@ -52,14 +51,6 @@ void ResetPageCounters() {
   g_cow_breaks.store(0, std::memory_order_relaxed);
 }
 
-void SetLegacyDeepCopyMode(bool enabled) {
-  g_legacy_deep_copy.store(enabled, std::memory_order_relaxed);
-}
-
-bool LegacyDeepCopyMode() {
-  return g_legacy_deep_copy.load(std::memory_order_relaxed);
-}
-
 PageRef::PageRef(PageData bytes) {
   ACCENT_EXPECTS(bytes.empty() || bytes.size() == kPageSize);
   if (!bytes.empty()) {
@@ -67,15 +58,8 @@ PageRef::PageRef(PageData bytes) {
   }
 }
 
-PageRef::PageRef(const PageRef& other) {
-  if (other.data_ == nullptr) {
-    return;  // zero page: nothing to share or copy
-  }
-  if (LegacyDeepCopyMode()) {
-    data_ = MakePayload(other.data_->bytes);
-    g_page_bytes_copied.fetch_add(kPageSize, std::memory_order_relaxed);
-  } else {
-    data_ = other.data_;
+PageRef::PageRef(const PageRef& other) : data_(other.data_) {
+  if (data_ != nullptr) {  // the zero page has nothing to share
     g_payload_shares.fetch_add(1, std::memory_order_relaxed);
   }
 }

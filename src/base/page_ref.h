@@ -52,15 +52,6 @@ struct PageCounterSnapshot {
 PageCounterSnapshot ReadPageCounters();
 void ResetPageCounters();
 
-// Measurement aid: when enabled, copying a PageRef deep-clones the payload
-// exactly where the pre-refactor data plane would have copied a PageData.
-// This gives bench/micro_sim an in-binary baseline (same pattern as the
-// LegacySim event loop): run a trial in legacy mode, reset counters, run it
-// again sharing, and the counter delta is the copy traffic the refactor
-// removed. Never enabled during normal runs or tests.
-void SetLegacyDeepCopyMode(bool enabled);
-bool LegacyDeepCopyMode();
-
 class PageRef {
  public:
   // The zero page: no payload, reads as kPageSize zero bytes.

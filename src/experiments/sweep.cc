@@ -44,6 +44,15 @@ std::vector<TrialConfig> StrategySweepConfigs(const std::string& workload,
   return configs;
 }
 
+std::vector<TrialConfig> PaperGridConfigs(std::uint64_t seed) {
+  std::vector<TrialConfig> configs;
+  for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
+    const std::vector<TrialConfig> workload = StrategySweepConfigs(spec.name, seed);
+    configs.insert(configs.end(), workload.begin(), workload.end());
+  }
+  return configs;
+}
+
 std::vector<TrialResult> RunTrials(const std::vector<TrialConfig>& configs, int threads) {
   if (threads <= 0) {
     threads = SweepThreadCount();

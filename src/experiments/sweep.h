@@ -29,6 +29,10 @@ int SweepThreadCount();
 std::vector<TrialConfig> StrategySweepConfigs(const std::string& workload,
                                               std::uint64_t seed = 42);
 
+// The whole paper grid: StrategySweepConfigs for each of the 7
+// representative workloads, in RepresentativeWorkloads order (77 trials).
+std::vector<TrialConfig> PaperGridConfigs(std::uint64_t seed = 42);
+
 // Runs `configs` across up to `threads` worker threads (0 = SweepThreadCount)
 // and returns results in input order. threads <= 1 degrades to the plain
 // serial loop.

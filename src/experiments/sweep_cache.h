@@ -1,90 +1,20 @@
-// On-disk sweep cache shared by every bench binary.
+// The canonical JSON encoding of a trial: its configuration and its
+// TrialResult metrics, in a fixed key order, so Dump() of two equal results
+// is byte-identical. The golden sweep digest (tests/golden_sweep_test.cc),
+// the tracing-is-inert check (tests/trace_test.cc) and perfbench's grid
+// digest all hash these dumps; changing a key or its format moves them.
 //
-// ~20 table/figure/ablation binaries each need the same 7x11 trial grid.
-// Before this cache each binary re-simulated the grid in-process; now the
-// first run (or bench/run_all) computes it once — in parallel — and
-// serialises every TrialResult to JSON, keyed by a hash of the exact trial
-// configurations plus a format version. Later binaries deserialise instead
-// of simulating.
-//
-// Keying: the cache key hashes the canonical JSON of the config list, so
-// any change to the grid shape, a config field or its default invalidates
-// old files by construction (they are simply never looked up again). A
-// format-version bump invalidates files whose *semantics* changed while the
-// configs did not. Loads additionally verify that the stored configs match
-// the requested ones and fall back to recomputation on any mismatch or
-// parse failure — a corrupt cache can cost time, never correctness.
+// perfbench includes this header by its path, so the name stays.
 #ifndef SRC_EXPERIMENTS_SWEEP_CACHE_H_
 #define SRC_EXPERIMENTS_SWEEP_CACHE_H_
-
-#include <map>
-#include <mutex>
-#include <string>
-#include <vector>
 
 #include "src/base/json.h"
 #include "src/experiments/trial.h"
 
 namespace accent {
 
-// Bump when TrialResult serialisation or trial semantics change in a way
-// the config hash cannot see.
-inline constexpr int kSweepCacheFormatVersion = 1;
-
-// --- serialisation (exposed for tests) ------------------------------------
 Json TrialConfigToJson(const TrialConfig& config);
-TrialConfig TrialConfigFromJson(const Json& json);
 Json TrialResultToJson(const TrialResult& result);
-TrialResult TrialResultFromJson(const Json& json);
-
-// Stable hex key for a config list (FNV-1a over canonical JSON + version).
-std::string SweepCacheKey(const std::vector<TrialConfig>& configs);
-
-// --- file layer -----------------------------------------------------------
-// Writes `results` to `path` atomically (temp file + rename).
-void WriteSweepFile(const std::string& path, const std::vector<TrialResult>& results);
-
-// Loads `path` and verifies it carries exactly `expected_configs` (same
-// order). Returns false — without aborting — on missing/corrupt/mismatched
-// files.
-bool LoadSweepFile(const std::string& path, const std::vector<TrialConfig>& expected_configs,
-                   std::vector<TrialResult>* results);
-
-// --- cache ----------------------------------------------------------------
-class DiskSweepCache {
- public:
-  // `dir` empty: $ACCENT_SWEEP_CACHE_DIR, else ".accent_sweep_cache".
-  explicit DiskSweepCache(std::string dir = "");
-
-  // The full strategy sweep for `workload`: memoised in-process, then the
-  // disk file, then computed in parallel (`threads` as in RunTrials) and
-  // persisted. Thread-safe.
-  const std::vector<TrialResult>& For(const std::string& workload, std::uint64_t seed = 42,
-                                      int threads = 0);
-
-  // Recomputes and rewrites the file even if present (run_all --force).
-  const std::vector<TrialResult>& Refresh(const std::string& workload,
-                                          std::uint64_t seed = 42, int threads = 0);
-
-  const std::string& dir() const { return dir_; }
-  int disk_hits() const { return disk_hits_; }
-  int computes() const { return computes_; }
-
-  // Process-wide instance used by the bench binaries.
-  static DiskSweepCache& Global();
-
- private:
-  const std::vector<TrialResult>& ForLocked(const std::string& workload, std::uint64_t seed,
-                                            int threads, bool force);
-  std::string FilePath(const std::string& workload,
-                       const std::vector<TrialConfig>& configs) const;
-
-  std::string dir_;
-  std::mutex mu_;
-  std::map<std::string, std::vector<TrialResult>> memo_;  // key: workload|seed
-  int disk_hits_ = 0;
-  int computes_ = 0;
-};
 
 }  // namespace accent
 

@@ -30,13 +30,13 @@ struct TrialConfig {
   // Resident-set calibration knob (costs.rs_zero_scan_per_mb): extra RIMAS
   // packaging charge per megabyte of zero-fill footprint. Zero by default
   // and deliberately NOT part of the serialised trial configuration
-  // (sweep_cache.cc) — the headline sweep's cache keys must not change.
+  // (sweep_cache.cc) — the headline sweep's golden digest must not change.
   SimDuration rs_zero_scan_per_mb{0};
 
   // Pre-copy knobs, consulted only when strategy == kPreCopy (the manager's
-  // default PreCopyConfig is overridden with these). Serialised into the
-  // cache key only for pre-copy trials (sweep_cache.cc), so every legacy
-  // config hashes exactly as before.
+  // default PreCopyConfig is overridden with these). Serialised only for
+  // pre-copy trials (sweep_cache.cc), so every older config hashes exactly
+  // as before.
   int precopy_max_rounds = 3;
   PageIndex precopy_stop_threshold = 4;
   SimDuration precopy_target_downtime{0};  // 0 = round-cap termination only
@@ -44,20 +44,20 @@ struct TrialConfig {
   // Content-addressed page service (the dedup plane). A two-host trial has
   // no third-party holders, so this mostly exposes the rider/probe overhead
   // for ablation; the fleet-scale dedup effect lives in bench/dedup_sweep.
-  // Serialised into the cache key only when enabled (sweep_cache.cc), so
-  // every legacy config hashes exactly as before.
+  // Serialised only when enabled (sweep_cache.cc), so every older config
+  // hashes exactly as before.
   bool content_cache = false;
   std::int64_t content_cache_pages = 4096;
 
   // Durable checkpoint store (docs/INTERNALS.md §16). The put traffic and
-  // the store's replies shift phase timings, so this must key the cache;
-  // serialised only when enabled (sweep_cache.cc) so every legacy config
-  // hashes exactly as before.
+  // the store's replies shift phase timings, so this is part of the trial's
+  // identity; serialised only when enabled (sweep_cache.cc) so every older
+  // config hashes exactly as before.
   bool checkpoint = false;
 
   // Optional observability hook (not owned, may be null). Deliberately NOT
   // part of the serialised trial configuration (sweep_cache.cc) — tracing
-  // never changes results, so a traced run must hash to the same cache key.
+  // never changes results, so a traced run must serialise identically.
   Tracer* tracer = nullptr;
 };
 

@@ -8,9 +8,9 @@
 // perturbs results fails loudly here rather than silently shifting tables
 // in docs/RESULTS.md.
 //
-// The digest is over TrialResultToJson(...).Dump(), the exact per-trial
-// encoding used by the on-disk sweep cache; matching here also implies the
-// .accent_sweep_cache trial rows stay byte-identical.
+// The digest is over TrialResultToJson(...).Dump(), the canonical per-trial
+// encoding, for the grid PaperGridConfigs() lists — the same grid
+// bench/run_all prints the paper tables from.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -19,7 +19,6 @@
 
 #include "src/experiments/sweep.h"
 #include "src/experiments/sweep_cache.h"
-#include "src/workloads/workload.h"
 
 namespace accent {
 namespace {
@@ -38,18 +37,12 @@ std::uint64_t Fnv1a(std::uint64_t hash, const std::string& text) {
 
 TEST(GoldenSweep, FullGridDigestMatchesPreRefactorValue) {
   std::uint64_t digest = 1469598103934665603ull;  // FNV-1a 64-bit offset basis
-  std::size_t trials = 0;
-  for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
-    const std::vector<TrialConfig> configs = StrategySweepConfigs(spec.name);
-    const std::vector<TrialResult> results = RunTrials(configs);
-    ASSERT_EQ(results.size(), configs.size()) << spec.name;
-    for (const TrialResult& result : results) {
-      digest = Fnv1a(digest, TrialResultToJson(result).Dump());
-      digest = Fnv1a(digest, "\n");
-      ++trials;
-    }
+  const std::vector<TrialResult> results = RunTrials(PaperGridConfigs());
+  for (const TrialResult& result : results) {
+    digest = Fnv1a(digest, TrialResultToJson(result).Dump());
+    digest = Fnv1a(digest, "\n");
   }
-  EXPECT_EQ(trials, 77u);
+  EXPECT_EQ(results.size(), 77u);
   EXPECT_EQ(digest, kGoldenSweepDigest)
       << "sweep results changed: new digest 0x" << std::hex << digest;
 }

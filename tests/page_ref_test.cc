@@ -96,20 +96,6 @@ TEST(PageRefTest, ExclusiveWriteDoesNotClone) {
   EXPECT_EQ(counters.page_bytes_copied, 0u);
 }
 
-TEST(PageRefTest, LegacyDeepCopyModeClonesOnCopy) {
-  ResetPageCounters();
-  PageRef a(MakePatternPage(6));
-  SetLegacyDeepCopyMode(true);
-  PageRef b = a;
-  SetLegacyDeepCopyMode(false);
-  EXPECT_EQ(a.use_count(), 1);
-  EXPECT_EQ(b.use_count(), 1);
-  EXPECT_EQ(a, b);
-  const PageCounterSnapshot counters = ReadPageCounters();
-  EXPECT_EQ(counters.page_bytes_copied, kPageSize);
-  EXPECT_EQ(counters.payload_shares, 0u);
-}
-
 TEST(PageStoreTest, StoreFindEraseRoundTrip) {
   PageStore store;
   EXPECT_TRUE(store.empty());

@@ -1,13 +1,11 @@
 // Determinism contract of the parallel sweep engine: for any thread count,
 // results must be byte-identical — every TrialResult metric field — to the
-// serial sweep. Also covers the sweep-cache JSON round trip and the
-// ACCENT_SWEEP_THREADS / thread-pool plumbing underneath.
+// serial sweep. Also covers the ACCENT_SWEEP_THREADS / thread-pool
+// plumbing underneath.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -261,78 +259,6 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
       EXPECT_EQ(hits[i].load(), 1) << "threads=" << threads << " i=" << i;
     }
   }
-}
-
-TEST(SweepCacheTest, JsonRoundTripIsLossless) {
-  const std::vector<TrialResult> results = RunStrategySweepParallel("Minprog", 42, 2);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Json json = TrialResultToJson(results[i]);
-    const TrialResult reloaded = TrialResultFromJson(Json::Parse(json.Dump(2)));
-    ExpectTrialResultsIdentical(results[i], reloaded, "trial=" + std::to_string(i));
-  }
-}
-
-TEST(SweepCacheTest, FileRoundTripAndValidation) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "accent_sweep_cache_test";
-  std::filesystem::remove_all(dir);
-  const std::string path = (dir / "sweep.json").string();
-
-  const std::vector<TrialConfig> configs = StrategySweepConfigs("Minprog", 42);
-  const std::vector<TrialResult> results = RunTrials(configs, 2);
-  WriteSweepFile(path, results);
-
-  std::vector<TrialResult> loaded;
-  ASSERT_TRUE(LoadSweepFile(path, configs, &loaded));
-  ASSERT_EQ(loaded.size(), results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    ExpectTrialResultsIdentical(results[i], loaded[i], "trial=" + std::to_string(i));
-  }
-
-  // A different expected grid (other seed) must be rejected, not served.
-  EXPECT_FALSE(LoadSweepFile(path, StrategySweepConfigs("Minprog", 43), &loaded));
-  // Truncated/corrupt files are a miss, not an abort.
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\"format_version\": 1, \"trials\": [";
-  }
-  EXPECT_FALSE(LoadSweepFile(path, configs, &loaded));
-  EXPECT_FALSE(LoadSweepFile((dir / "absent.json").string(), configs, &loaded));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SweepCacheTest, DiskCacheServesIdenticalResultsAcrossInstances) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "accent_sweep_cache_test2";
-  std::filesystem::remove_all(dir);
-
-  DiskSweepCache writer(dir.string());
-  const std::vector<TrialResult>& computed = writer.For("Minprog", 42, 2);
-  EXPECT_EQ(writer.computes(), 1);
-  EXPECT_EQ(writer.disk_hits(), 0);
-
-  // A fresh instance (a different bench binary, in effect) must load the
-  // same grid from disk without re-simulating.
-  DiskSweepCache reader(dir.string());
-  const std::vector<TrialResult>& loaded = reader.For("Minprog", 42, 2);
-  EXPECT_EQ(reader.computes(), 0);
-  EXPECT_EQ(reader.disk_hits(), 1);
-  ASSERT_EQ(loaded.size(), computed.size());
-  for (std::size_t i = 0; i < computed.size(); ++i) {
-    ExpectTrialResultsIdentical(computed[i], loaded[i], "trial=" + std::to_string(i));
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SweepCacheTest, KeyChangesWithGridContents) {
-  const std::string base = SweepCacheKey(StrategySweepConfigs("Minprog", 42));
-  EXPECT_EQ(base, SweepCacheKey(StrategySweepConfigs("Minprog", 42)));  // stable
-  EXPECT_NE(base, SweepCacheKey(StrategySweepConfigs("Minprog", 43)));
-  EXPECT_NE(base, SweepCacheKey(StrategySweepConfigs("Chess", 42)));
-
-  std::vector<TrialConfig> tweaked = StrategySweepConfigs("Minprog", 42);
-  tweaked[3].iou_caching = false;
-  EXPECT_NE(base, SweepCacheKey(tweaked));
 }
 
 }  // namespace

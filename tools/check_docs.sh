@@ -53,7 +53,7 @@ for doc in "${DOCS[@]}"; do
   while IFS= read -r token; do
     [ -n "$token" ] || continue
     case "$token" in
-      http*|/*|*:*|*BENCH_*|*.accent_sweep_cache*) continue ;;
+      http*|/*|*:*|*BENCH_*) continue ;;
       *' '*|*'='*|*'<'*|*'('*|*'*'*|*'$'*) continue ;;
       */*) ;;
       *) continue ;;

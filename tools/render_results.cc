@@ -25,11 +25,11 @@ namespace {
 
 // Bump when the set of tables or their columns change, so a committed
 // docs/RESULTS.md rendered by an older binary fails docs_check.
-constexpr int kTemplateVersion = 7;
+constexpr int kTemplateVersion = 8;
 
 // -------------------------------------------------------------------------
-// Paper constants (Zayas, SOSP 1987). Mirrors the kPaper arrays in
-// bench/table_4_*.cc; a value of -1 renders as "(n/a)" — the paper does not
+// Paper constants (Zayas, SOSP 1987). Mirrors the kTable4x arrays in
+// bench/paper_tables.cc; a value of -1 renders as "(n/a)" — the paper does not
 // report that cell.
 
 struct PaperSizes {  // Table 4-1
@@ -524,42 +524,33 @@ void RenderDedup(const Json& dedup, std::ostream& out) {
 void RenderMicroSim(const Json& sim, std::ostream& out) {
   out << "## Event-loop micro bench\n\n"
       << "`micro_sim` drains the simulator queue through the inline-storage "
-         "fast path vs the legacy heap-allocating path.\n\n";
-  MdTable table({"Events", "Inline ns/event", "Legacy ns/event", "Speedup"});
+         "event path (40-byte captures, best of reps).\n\n";
+  MdTable table({"Events", "Events/s", "ns/event"});
   table.AddRow({FormatWithCommas(sim.Get("events").AsUint64()),
-                FormatDouble(sim.Get("inline_ns_per_event").AsDouble(), 1),
-                FormatDouble(sim.Get("legacy_ns_per_event").AsDouble(), 1),
-                FormatDouble(sim.Get("speedup").AsDouble(), 2) + "x"});
+                FormatWithCommas(
+                    static_cast<std::uint64_t>(sim.Get("inline_events_per_sec").AsDouble())),
+                FormatDouble(sim.Get("inline_ns_per_event").AsDouble(), 1)});
   out << table.ToString() << '\n';
 
-  // Data-plane section appears with schema_version >= 2; older reports
-  // simply omit it.
-  if (sim.Find("copy_reduction") == nullptr) {
-    return;
-  }
   out << "## Page-payload data plane\n\n"
-      << "The same binary replays a pure-copy PASMAC trial and the full "
-         "77-trial sweep twice: once with every `PageRef` copy forced to a "
-         "deep clone (the old `PageData` data plane) and once sharing "
-         "payloads. Simulated results are asserted bit-identical; the only "
-         "difference is host-side copy traffic and wall clock.\n\n";
-  MdTable plane({"Measurement", "Deep-copy baseline", "Zero-copy", "Improvement"});
-  plane.AddRow({sim.Get("copy_trial_workload").AsString() + " bytes copied",
-                FormatWithCommas(sim.Get("copy_trial_legacy_bytes_copied").AsUint64()),
+      << "Host-side payload work behind the simulation: page payloads are "
+         "shared by refcount, so the only bytes duplicated are copy-on-write "
+         "breaks. Simulated costs never read these counters. Both byte counts "
+         "are gated against absolute bounds (`bench/micro_sim`, "
+         "`tools/check_bench.sh`).\n\n";
+  MdTable plane({"Measurement", "Bytes copied", "Payload allocs", "Payload shares",
+                 "COW breaks"});
+  plane.AddRow({sim.Get("copy_trial_workload").AsString() + " trial",
                 FormatWithCommas(sim.Get("copy_trial_zero_copy_bytes_copied").AsUint64()),
-                FormatDouble(sim.Get("copy_reduction").AsDouble(), 1) + "x fewer"});
-  plane.AddRow({"77-trial sweep bytes copied",
-                FormatWithCommas(sim.Get("sweep_legacy_bytes_copied").AsUint64()),
-                FormatWithCommas(sim.Get("sweep_zero_copy_bytes_copied").AsUint64()),
-                FormatDouble(sim.Get("sweep_legacy_bytes_copied").AsDouble() /
-                                 std::max(sim.Get("sweep_zero_copy_bytes_copied").AsDouble(), 1.0),
-                             1) +
-                    "x fewer"});
-  plane.AddRow({"77-trial sweep seconds (serial)",
-                FormatDouble(sim.Get("sweep_legacy_seconds").AsDouble(), 3),
-                FormatDouble(sim.Get("sweep_zero_copy_seconds").AsDouble(), 3),
-                FormatDouble(sim.Get("sweep_speedup").AsDouble(), 2) + "x faster"});
+                FormatWithCommas(sim.Get("copy_trial_zero_copy_payload_allocs").AsUint64()),
+                FormatWithCommas(sim.Get("copy_trial_zero_copy_payload_shares").AsUint64()),
+                FormatWithCommas(sim.Get("copy_trial_zero_copy_cow_breaks").AsUint64())});
   out << plane.ToString() << '\n';
+  out << "The serial " << sim.Get("sweep_trials").AsUint64() << "-trial sweep copies "
+      << FormatWithCommas(sim.Get("sweep_zero_copy_bytes_copied").AsUint64())
+      << " payload bytes and takes "
+      << FormatDouble(sim.Get("sweep_zero_copy_seconds").AsDouble(), 3)
+      << " s of host time (best of " << sim.Get("sweep_reps").AsUint64() << ").\n\n";
 }
 
 void RenderCluster(const Json& cluster, std::ostream& out) {
