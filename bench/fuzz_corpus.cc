@@ -1,9 +1,9 @@
 // Adversarial fuzz-corpus bench: seeded random scenarios — heterogeneous
 // topology x workload x fault plan x strategy x optional re-migration —
 // checked against the standing oracles (content integrity, zero hangs,
-// balanced backer references, 1-vs-2-shard fleet identity, payload
-// balance), emitting machine-readable JSON (BENCH_fuzz.json) so the fuzzed
-// guarantees are tracked from PR to PR.
+// balanced backer references, fleet census, payload balance), emitting
+// machine-readable JSON (BENCH_fuzz.json) so the fuzzed guarantees are
+// tracked from PR to PR.
 //
 // Usage: fuzz_corpus [--first N] [--seeds N] [--threads N] [--out PATH]
 // Environment: ACCENT_FUZZ_SEEDS / ACCENT_FUZZ_THREADS override the
@@ -75,8 +75,6 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(corpus.integrity_failures));
   std::printf("backer imbalances:  %llu\n",
               static_cast<unsigned long long>(corpus.backer_imbalances));
-  std::printf("shard divergences:  %llu\n",
-              static_cast<unsigned long long>(corpus.shard_divergences));
   std::printf("payload leak:       %lld\n", static_cast<long long>(corpus.payload_leak));
   std::printf("failures:           %llu  -> %s\n",
               static_cast<unsigned long long>(corpus.failures), out_path.c_str());

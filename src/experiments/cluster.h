@@ -24,13 +24,11 @@
 // request/reply) while the process runs at its new home.
 //
 // Determinism: every stochastic draw flows through per-host Rng streams,
-// all cross-host interaction rides Network::Transmit (and therefore the
-// canonical cross-shard merge order), per-host state is touched only by
-// the owning shard, and end-of-run aggregation walks hosts in index
-// order. A trial's ClusterResult — and its canonical JSON — is therefore
-// byte-identical for any shard count and any worker-thread count; the
-// shard knobs are deliberately excluded from the JSON so the equality can
-// be asserted literally (tests/parallel_sweep_test.cc does).
+// all cross-host interaction rides Network::Transmit on the one event
+// queue, and end-of-run aggregation walks hosts in index order. A trial's
+// ClusterResult — and its canonical JSON — is therefore a pure function of
+// its config; tests/cluster_test.cc pins the digests of representative
+// trials.
 #ifndef SRC_EXPERIMENTS_CLUSTER_H_
 #define SRC_EXPERIMENTS_CLUSTER_H_
 
@@ -50,12 +48,6 @@ struct ClusterConfig {
   int host_count = 24;
   std::uint64_t seed = 42;
   SimDuration duration = Sec(120.0);
-
-  // Sharding knobs. They select the execution engine, never the result:
-  // trial output is byte-identical across both. shards <= 0 reads
-  // ACCENT_SIM_SHARDS (default 1); shard_threads 0 = auto.
-  int shards = 0;
-  int shard_threads = 1;
 
   // Workload churn. Each host starts with `initial_processes_per_host`
   // and receives a Poisson stream of arrivals; demands are exponential.
@@ -82,8 +74,7 @@ struct ClusterConfig {
   // a destination whose per-host cache (content_cache_pages, class-LRU)
   // already holds image pages answers that portion of a pull batch with a
   // small confirm ack instead of payload. All cache state lives on the
-  // destination host and is touched only by its owning shard, so results
-  // stay byte-identical across shard counts.
+  // destination host.
   bool content_cache = false;
   std::int64_t content_cache_pages = 8192;
   int binary_classes = 6;
@@ -154,8 +145,8 @@ struct ClusterResult {
   SimTime steady_at{0};
   double steady_migrations_per_sec = 0.0;
 
-  // Engine counters — identical across shard counts by construction, so
-  // they double as determinism checks.
+  // Engine counters; part of the canonical JSON, so they double as
+  // determinism checks.
   std::uint64_t events_executed = 0;
   std::uint64_t transmissions = 0;
   ByteCount wire_bytes = 0;
@@ -164,20 +155,11 @@ struct ClusterResult {
   bool hung = false;
 };
 
-// Shard count for cluster trials: ACCENT_SIM_SHARDS if set (clamped to
-// [1, 64]), else 1.
-int SimShardCount();
-
-// Worker threads for shard windows: ACCENT_SIM_SHARD_THREADS if set,
-// else 1 (single-core boxes win via smaller per-shard heaps, not threads).
-int SimShardThreadCount();
-
 // Runs one fleet trial to completion (or its watchdog budget).
 ClusterResult RunClusterTrial(const ClusterConfig& config);
 
-// Canonical JSON for one trial. Excludes the shard/thread knobs and any
-// wall-clock quantity on purpose: two runs of the same config at different
-// shard counts must serialise byte-identically.
+// Canonical JSON for one trial. Excludes any wall-clock quantity on
+// purpose: two runs of the same config must serialise byte-identically.
 Json ClusterResultToJson(const ClusterResult& result);
 
 }  // namespace accent

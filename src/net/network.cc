@@ -37,22 +37,13 @@ void Network::SetHostCalibrations(const std::vector<HostCalibration>& calibratio
   }
 }
 
-SimDuration Network::MinWireLatency(const CostTable& costs,
-                                    const std::vector<HostCalibration>& calibrations) {
-  SimDuration min = costs.wire_latency;
-  for (const HostCalibration& cal : calibrations) {
-    min = std::min(min, ScaleLatency(costs.wire_latency, cal.wire_latency_multiplier));
-  }
-  return min;
-}
-
 void Network::Transmit(HostId from, HostId to, ByteCount bytes, TrafficKind kind,
                        std::function<void()> deliver) {
   ACCENT_EXPECTS(from != to) << " loopback transmissions never touch the wire";
   ACCENT_EXPECTS(deliver != nullptr);
 
-  transmissions_.fetch_add(1, std::memory_order_relaxed);
-  bytes_carried_.fetch_add(bytes, std::memory_order_relaxed);
+  ++transmissions_;
+  bytes_carried_ += bytes;
   if (recorder_ != nullptr) {
     recorder_->Record(kind, bytes);
   }
@@ -70,8 +61,8 @@ void Network::Transmit(HostId from, HostId to, ByteCount bytes, TrafficKind kind
       static_cast<double>(bytes) / bytes_per_sec * 1e6));
 
   if (model_ == WireModel::kSwitched) {
-    // Private egress port: only the transmitting host's shard reaches this
-    // slot, so the read-modify-write below is single-threaded by design.
+    // Private egress port: transmissions from one host queue behind each
+    // other, never behind another host's.
     ACCENT_CHECK(from.value >= 1 && from.value <= egress_busy_until_.size())
         << " host " << from << " has no egress port";
     SimTime& busy = egress_busy_until_[static_cast<std::size_t>(from.value - 1)];
@@ -84,9 +75,7 @@ void Network::Transmit(HostId from, HostId to, ByteCount bytes, TrafficKind kind
                         {"bytes", Json(bytes)},
                         {"kind", Json(TrafficKindName(kind))}});
     }
-    // The only cross-shard edge in a sharded run; falls back to a plain
-    // ScheduleAt under the serial loop.
-    sim_.ScheduleCross(from, to, arrival, std::move(deliver));
+    sim_.ScheduleAt(arrival, std::move(deliver));
     return;
   }
 
@@ -127,7 +116,7 @@ void Network::Transmit(HostId from, HostId to, ByteCount bytes, TrafficKind kind
     }
   }
   if (verdict.lost) {
-    deliveries_lost_.fetch_add(1, std::memory_order_relaxed);
+    ++deliveries_lost_;
     return;
   }
   auto shared_deliver =
@@ -142,7 +131,7 @@ void Network::Transmit(HostId from, HostId to, ByteCount bytes, TrafficKind kind
     if (shared_deliver != nullptr) {
       sim_.ScheduleAt(when, [this, fault, to, when, shared_deliver]() {
         if (fault->HostDown(to, when)) {
-          deliveries_lost_.fetch_add(1, std::memory_order_relaxed);
+          ++deliveries_lost_;
           if (Tracer* tracer = sim_.tracer()) {
             tracer->Instant(to, TraceLane::kWire, "fault:dead-receiver", when);
           }
@@ -153,7 +142,7 @@ void Network::Transmit(HostId from, HostId to, ByteCount bytes, TrafficKind kind
     } else {
       sim_.ScheduleAt(when, [this, fault, to, when, deliver = std::move(deliver)]() {
         if (fault->HostDown(to, when)) {
-          deliveries_lost_.fetch_add(1, std::memory_order_relaxed);
+          ++deliveries_lost_;
           if (Tracer* tracer = sim_.tracer()) {
             tracer->Instant(to, TraceLane::kWire, "fault:dead-receiver", when);
           }

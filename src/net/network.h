@@ -7,10 +7,7 @@
 //
 //  * kSwitched: a datacenter-row switch. Each host owns a private egress
 //    port serialising its own transmissions; ports never contend with each
-//    other. Because egress state is touched only by the transmitting
-//    host's shard and deliveries ride Simulator::ScheduleCross, this model
-//    is safe (and deterministic) under the sharded event loop — it is the
-//    only cross-shard edge a fleet-scale cluster trial has.
+//    other. Fleet-scale cluster trials run on this model.
 //
 // CPU costs of handling messages belong to the NetMsgServers (src/netmsg)
 // — the wire itself is fast; the paper's bottleneck is software, and the
@@ -19,7 +16,6 @@
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -57,10 +53,7 @@ class Network {
   // Switches to the kSwitched wire model with `host_count` egress ports.
   // Hosts must carry the dense ids 1..host_count (the Testbed/cluster
   // convention). Call before any transmission; incompatible with fault
-  // injection (the switched fabric models a reliable datacenter row), and
-  // a sharded multi-worker run additionally requires a null recorder —
-  // TrafficRecorder is not thread-safe; fleet trials do their own
-  // per-host byte accounting instead.
+  // injection (the switched fabric models a reliable datacenter row).
   void ConfigureSwitched(int host_count);
   WireModel wire_model() const { return model_; }
 
@@ -73,12 +66,6 @@ class Network {
   void SetHostCalibrations(const std::vector<HostCalibration>& calibrations);
   bool calibrated() const { return calibrated_; }
 
-  // The smallest calibrated egress latency across `calibrations` (the safe
-  // sharded-simulator lookahead for a switched fleet); costs.wire_latency
-  // exactly when nothing is calibrated.
-  static SimDuration MinWireLatency(const CostTable& costs,
-                                    const std::vector<HostCalibration>& calibrations);
-
   // Attaches a fault injector consulted once per transmission. Null (the
   // default) keeps the wire perfectly reliable and the event schedule
   // bit-identical to the injector-free build; deliveries to a host inside a
@@ -89,15 +76,9 @@ class Network {
   }
   FaultInjector* fault_injector() const { return fault_; }
 
-  std::uint64_t transmissions() const {
-    return transmissions_.load(std::memory_order_relaxed);
-  }
-  ByteCount bytes_carried() const {
-    return bytes_carried_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t deliveries_lost() const {
-    return deliveries_lost_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t transmissions() const { return transmissions_; }
+  ByteCount bytes_carried() const { return bytes_carried_; }
+  std::uint64_t deliveries_lost() const { return deliveries_lost_; }
   TrafficRecorder* recorder() const { return recorder_; }
 
  private:
@@ -107,21 +88,16 @@ class Network {
   FaultInjector* fault_ = nullptr;  // may be null (reliable wire)
   WireModel model_ = WireModel::kSharedBus;
   // Heterogeneous links: per-sender serialization bandwidth and latency,
-  // precomputed from the calibrations (empty when uncalibrated). Sized once
-  // up front and only read afterwards, so shards share them lock-free.
+  // precomputed from the calibrations (empty when uncalibrated).
   bool calibrated_ = false;
   std::vector<double> egress_bytes_per_sec_;
   std::vector<SimDuration> egress_latency_;
   SimTime wire_busy_until_{0};
-  // kSwitched: per-host egress availability, indexed by host id - 1. Each
-  // slot is written only by the owning host's shard, so the vector needs
-  // no lock under the sharded loop (it is sized once, up front).
+  // kSwitched: per-host egress availability, indexed by host id - 1.
   std::vector<SimTime> egress_busy_until_;
-  // Totals are relaxed atomics so switched-mode shards can share them; the
-  // sums are order-independent, keeping results deterministic.
-  std::atomic<std::uint64_t> transmissions_{0};
-  std::atomic<ByteCount> bytes_carried_{0};
-  std::atomic<std::uint64_t> deliveries_lost_{0};  // dropped, blocked, dead on arrival
+  std::uint64_t transmissions_ = 0;
+  ByteCount bytes_carried_ = 0;
+  std::uint64_t deliveries_lost_ = 0;  // dropped, blocked, dead on arrival
 };
 
 }  // namespace accent

@@ -16,13 +16,12 @@
 //
 // Directory protocol: holders announce asynchronously; an announcement
 // becomes visible to queries only after `propagation` of simulated time
-// (one wire latency — the same lookahead the sharded engine uses), so a
-// probe can always race a crash or an eviction. Staleness is safe by
-// construction: a holder that no longer has the bytes answers "miss" and
-// the pager falls back to the origin; a holder that crashed times out and
-// the pager drops the host from the directory before falling back. Pages
-// can therefore go *stale* but never *wrong* — payload identity is
-// re-verified against the shipped hash at every install.
+// (one wire latency), so a probe can always race a crash or an eviction.
+// Staleness is safe by construction: a holder that no longer has the bytes
+// answers "miss" and the pager falls back to the origin; a holder that
+// crashed times out and the pager drops the host from the directory before
+// falling back. Pages can therefore go *stale* but never *wrong* — payload
+// identity is re-verified against the shipped hash at every install.
 #ifndef SRC_NET_PAGE_SERVICE_H_
 #define SRC_NET_PAGE_SERVICE_H_
 

@@ -2,8 +2,8 @@
 // cases: every seeded scenario — random heterogeneous topology x workload
 // x fault plan x strategy x optional re-migration — must satisfy all the
 // standing oracles (content integrity, zero hangs, balanced backer
-// references, 1-vs-2-shard fleet identity). A failing seed names itself:
-// re-run it interactively with tools/migrate_sim --replay-seed=N.
+// references, fleet census). A failing seed names itself: re-run it
+// interactively with tools/migrate_sim --replay-seed=N.
 #include <gtest/gtest.h>
 
 #include "src/experiments/scenario_fuzz.h"

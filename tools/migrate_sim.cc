@@ -83,7 +83,6 @@ int ReplayScenario(std::uint64_t seed) {
   std::printf("integrity ok:       %s\n", r.integrity_ok ? "yes" : "NO");
   std::printf("hang:               %s\n", r.hang ? "YES" : "no");
   std::printf("backer balanced:    %s\n", r.backer_balanced ? "yes" : "NO");
-  std::printf("shard match:        %s\n", r.shard_match ? "yes" : "NO");
   std::printf("fleet census ok:    %s\n", r.cluster_census_ok ? "yes" : "NO");
   std::printf("fleet hung:         %s\n", r.cluster_hung ? "YES" : "no");
   std::printf("diskless anchors:   %llu\n",

@@ -25,7 +25,7 @@ namespace {
 
 // Bump when the set of tables or their columns change, so a committed
 // docs/RESULTS.md rendered by an older binary fails docs_check.
-constexpr int kTemplateVersion = 8;
+constexpr int kTemplateVersion = 9;
 
 // -------------------------------------------------------------------------
 // Paper constants (Zayas, SOSP 1987). Mirrors the kTable4x arrays in
@@ -557,14 +557,11 @@ void RenderCluster(const Json& cluster, std::ostream& out) {
   out << "## Fleet-scale cluster sweep\n\n"
       << "`cluster_sweep` runs a switched row of hosts under continuous "
          "Poisson churn with balancer-driven migrations (costs from the "
-         "calibrated two-Perq formulas), once per shard count on the sharded "
-         "event loop. Results are byte-identical across shard counts; the "
-         "speedups are wall-clock only.\n\n";
+         "calibrated two-Perq formulas).\n\n";
 
   const Json& big = cluster.Get("big_trial");
   MdTable headline({"Hosts", "Arrived", "Migrations", "Steady thr (mig/s)",
-                    "Queueing p50/p99 (s)", "Downtime p50/p99 (s)",
-                    "Speedup 2sh", "Speedup 8sh"});
+                    "Queueing p50/p99 (s)", "Downtime p50/p99 (s)"});
   auto secs = [](const Json& trial, const char* key) {
     return FormatDouble(trial.Get(key).AsDouble() / 1e6, 2);
   };
@@ -574,9 +571,7 @@ void RenderCluster(const Json& cluster, std::ostream& out) {
        FormatWithCommas(big.Get("migrations_completed").AsUint64()),
        FormatDouble(big.Get("steady_migrations_per_sec").AsDouble(), 3),
        secs(big, "queueing_p50_us") + " / " + secs(big, "queueing_p99_us"),
-       secs(big, "downtime_p50_us") + " / " + secs(big, "downtime_p99_us"),
-       FormatDouble(cluster.Get("speedup_shards_2").AsDouble(), 2) + "x",
-       FormatDouble(cluster.Get("speedup_shards_8").AsDouble(), 2) + "x"});
+       secs(big, "downtime_p50_us") + " / " + secs(big, "downtime_p99_us")});
   out << headline.ToString() << '\n';
 
   out << "Policy grid (imbalance threshold x hysteresis x dispersal weight, "
